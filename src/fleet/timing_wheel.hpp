@@ -4,7 +4,7 @@
 // The general simulator keeps its `sim::EventQueue` binary heap — it must
 // order arbitrary continuous timestamps exactly.  The fleet monitor has a
 // much narrower problem: at most one pending freshness deadline per
-// monitored process, deadlines quantized onto a coarse tick grid, and the
+// monitored process, deadlines quantized onto a fixed tick grid, and the
 // only queries are "schedule", "cancel", and "fire everything due up to
 // tick T".  The wheel does all three in O(1) amortized — no heap churn, no
 // allocation after construction — which is what turns per-heartbeat cost
@@ -123,10 +123,17 @@ class TimingWheel {
   /// Advances the wheel to `to_tick`, invoking `on_expire(id, deadline)`
   /// for every timer whose deadline lies in (now, to_tick], in tick order.
   /// Expired timers are no longer pending when the callback runs, so the
-  /// callback may re-schedule them.
+  /// callback may re-schedule them.  Once no timer is pending the rest of
+  /// the step is O(1), however many ticks it spans.
   template <class F>
   void advance(Tick to_tick, F&& on_expire) {
     while (now_ < to_tick) {
+      if (pending_count_ == 0) {
+        // Nothing can cascade or fire: jump.  A rebuilt wheel's first
+        // advance would otherwise walk every tick since tick 0.
+        now_ = to_tick;
+        return;
+      }
       ++now_;
       // A digit of `now` that just rolled over exposes a higher-level slot
       // whose entries are now at most one rotation of the level below away;

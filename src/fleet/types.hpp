@@ -48,9 +48,12 @@ struct FleetOptions {
   std::size_t processes = 0;
   std::size_t shards = 1;
   core::NfdEParams params;
-  /// Tick size of the freshness-expiry timing wheel; zero means eta / 8.
+  /// Tick size of the freshness-expiry timing wheel; zero means eta / 128.
   /// Granularity affects only *when* an expiry is noticed by advance(), not
   /// the emitted timestamps — those are the stored exact freshness points.
+  /// The fine default is free: a deadline eta + alpha ahead lands at wheel
+  /// level 1, and the next heartbeat nearly always cancels it before its
+  /// slot cascades.
   Duration wheel_resolution = Duration(0.0);
   /// Global index of this engine's first process: heartbeat ids live in
   /// [first_process, first_process + processes) and transitions carry the
@@ -75,7 +78,7 @@ struct FleetOptions {
   [[nodiscard]] Duration resolution() const {
     return wheel_resolution > Duration::zero()
                ? wheel_resolution
-               : Duration(params.eta.seconds() / 8.0);
+               : Duration(params.eta.seconds() / 128.0);
   }
 };
 

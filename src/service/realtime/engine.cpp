@@ -12,8 +12,6 @@ void RealtimeOptions::validate() const {
   CHENFD_EXPECTS(shards <= processes,
                  "RealtimeOptions: more shards than processes");
   params.validate();
-  CHENFD_EXPECTS(wheel_resolution >= Duration::zero(),
-                 "RealtimeOptions: wheel resolution must be >= 0");
   CHENFD_EXPECTS(queue_capacity >= 1,
                  "RealtimeOptions: queue_capacity must be >= 1");
   CHENFD_EXPECTS(ring_capacity == 0 || ring_capacity >= queue_capacity,
@@ -80,7 +78,6 @@ RealtimeEngine::RealtimeEngine(RealtimeOptions opts, TimeSource& time)
     fleet_opts.processes = members;
     fleet_opts.shards = 1;
     fleet_opts.params = opts_.params;
-    fleet_opts.wheel_resolution = opts_.wheel_resolution;
     fleet_opts.first_process = first;
     shards_.push_back(std::make_unique<Shard>(
         fleet_opts, opts_.effective_ring_capacity(), opts_.watchdog));
@@ -335,8 +332,11 @@ void RealtimeEngine::warm_restart_shard(std::size_t shard_index,
                  "range");
   Shard& shard = *shards_[shard_index];
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  // Nothing already emitted may be lost: move the dying monitor's pending
+  // Nothing already due may be lost: fire every freshness point up to the
+  // restart instant exactly (the wheel may not have crossed its tick yet,
+  // e.g. during a consumer stall), then move the dying monitor's pending
   // transitions into the engine-side log before replacing it.
+  shard.monitor->close(to_engine(now));
   std::vector<fleet::Transition> pending = shard.monitor->drain_transitions();
   shard.transitions.insert(shard.transitions.end(), pending.begin(),
                            pending.end());
@@ -486,7 +486,9 @@ void RealtimeEngine::start(std::size_t consumers, Duration consumer_period,
   thread_stalled_.clear();
   thread_killed_.clear();
   for (std::size_t t = 0; t < consumers; ++t) {
-    thread_alive_.push_back(std::make_unique<std::atomic<bool>>(false));
+    // Alive from launch: a watchdog poll that beats the new thread's first
+    // instruction must not take it for dead and restart its shards.
+    thread_alive_.push_back(std::make_unique<std::atomic<bool>>(true));
     thread_stalled_.push_back(std::make_unique<std::atomic<bool>>(false));
     thread_killed_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
@@ -524,7 +526,6 @@ void RealtimeEngine::kill_consumer(std::size_t thread_index) {
 }
 
 void RealtimeEngine::consumer_loop(std::size_t thread_index) {
-  thread_alive_[thread_index]->store(true, std::memory_order_release);
   while (running_.load(std::memory_order_acquire)) {
     if (thread_killed_[thread_index]->load(std::memory_order_acquire)) break;
     bool idle = true;
@@ -565,6 +566,7 @@ void RealtimeEngine::respawn_consumer(std::size_t thread_index) {
   if (threads_[thread_index].joinable()) threads_[thread_index].join();
   thread_killed_[thread_index]->store(false, std::memory_order_release);
   thread_stalled_[thread_index]->store(false, std::memory_order_release);
+  thread_alive_[thread_index]->store(true, std::memory_order_release);
   threads_[thread_index] = std::thread([this, thread_index] {
     consumer_loop(thread_index);
   });

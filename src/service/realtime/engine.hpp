@@ -50,7 +50,6 @@ struct RealtimeOptions {
   std::size_t processes = 0;
   std::size_t shards = 1;
   core::NfdEParams params;
-  Duration wheel_resolution = Duration(0.0);
 
   /// Logical admission bound per shard.  Part of the scenario: shedding
   /// decisions depend on it, so replay output may too (by design).
@@ -138,8 +137,9 @@ class RealtimeEngine {
   WatchdogAction poll_watchdog(std::size_t shard, TimePoint now,
                                bool consumer_alive);
 
-  /// Warm restart of one shard's monitor: drains its pending transitions
-  /// into the engine-side log (nothing already emitted is lost), exports
+  /// Warm restart of one shard's monitor: fires every freshness point up
+  /// to `now` exactly (FleetMonitor::close), drains its pending transitions
+  /// into the engine-side log (nothing already due is lost), exports
   /// its summary, rebuilds the monitor, and restores warm (all-suspect
   /// soft state; see FleetMonitor::restore_summary).  The shard's queue
   /// and counters survive — ingestion never stops.
@@ -188,12 +188,11 @@ class RealtimeEngine {
   struct Shard;
 
   /// Source instants are rebased to an engine-local epoch captured at
-  /// construction before they reach the monitors: the fleet timing wheel
-  /// steps tick-by-tick from zero, so feeding it wall-clock epoch seconds
-  /// (~10^9) would spin for years.  VirtualTimeSource starts at zero, so
-  /// the rebase is the identity for the replay harness — payloads are
-  /// unaffected.  Transitions are mapped back to source time on the way
-  /// out.
+  /// construction before they reach the monitors: Eq. 6.3 running sums of
+  /// wall-clock epoch seconds (~10^9) would keep only about microsecond
+  /// precision.  VirtualTimeSource starts at zero, so the rebase is the
+  /// identity for the replay harness — payloads are unaffected.
+  /// Transitions are mapped back to source time on the way out.
   [[nodiscard]] TimePoint to_engine(TimePoint t) const {
     CHENFD_EXPECTS(t.seconds() >= base_s_,
                    "RealtimeEngine: time predates the engine epoch");

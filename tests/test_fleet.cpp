@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -129,6 +131,29 @@ TEST(TimingWheel, ClearDropsEverythingWithoutFiring) {
   EXPECT_EQ(wheel.pending_count(), 0u);
   EXPECT_EQ(wheel.now(), 10u);  // time does not rewind
   EXPECT_TRUE(drain_wheel(wheel, 3'000).empty());
+}
+
+TEST(TimingWheel, EmptyWheelJumpsAndLaterTimersFireExactly) {
+  // A rebuilt wheel starts at tick 0; with nothing pending, catching it up
+  // to the present must not walk the ticks in between (10^12 would take
+  // hours) and must leave it exactly where a walk would have.
+  TimingWheel wheel(3);
+  const Tick far = 1'000'000'000'000;
+  EXPECT_TRUE(drain_wheel(wheel, far).empty());
+  EXPECT_EQ(wheel.now(), far);
+  EXPECT_TRUE(drain_wheel(wheel, far - 5).empty());  // never rewinds
+  EXPECT_EQ(wheel.now(), far);
+  wheel.schedule(0, far + 70'000);  // level 2 relative to the new now
+  wheel.schedule(1, far + 1);
+  wheel.schedule(2, far + 100);
+  auto fired = drain_wheel(wheel, far + 100'000);
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[0], (std::pair<Tick, TimerId>{far + 1, 1}));
+  EXPECT_EQ(fired[1], (std::pair<Tick, TimerId>{far + 100, 2}));
+  EXPECT_EQ(fired[2], (std::pair<Tick, TimerId>{far + 70'000, 0}));
+  // Emptied by firing, the wheel jumps again.
+  EXPECT_TRUE(drain_wheel(wheel, 2 * far).empty());
+  EXPECT_EQ(wheel.now(), 2 * far);
 }
 
 TEST(TimingWheel, RejectsContractViolations) {
@@ -302,10 +327,12 @@ TEST(FleetMonitor, CatchUpFiresOverdueSuspicionBeforeTheHeartbeat) {
   // Rule 2: a heartbeat arriving after its process's freshness point must
   // see the suspicion emitted first (at the exact freshness point), then
   // the re-trust at the arrival.  The arrival 3.72 sits *inside* the wheel
-  // tick containing the 3.7 deadline (default resolution eta/8 = 0.125, so
+  // tick containing the 3.7 deadline (resolution pinned to 0.125, so
   // ingest only advances the wheel to tick 29 < deadline tick 30): only
   // the per-process catch-up check can emit the suspicion here.
-  FleetMonitor monitor(fleet_options(1, 1));
+  FleetOptions fo = fleet_options(1, 1);
+  fo.wheel_resolution = seconds(0.125);
+  FleetMonitor monitor(fo);
   monitor.ingest(std::vector<Heartbeat>{hb(0, 1, 1.2), hb(0, 2, 2.2)});
   // Freshness point after m_2: EA_3 + alpha = 3.7.  Deliver m_3 late.
   monitor.ingest(std::vector<Heartbeat>{hb(0, 3, 3.72)});
@@ -480,23 +507,92 @@ TEST(FleetDeterminism, ShardCountsProduceIdenticalTransitionStreams) {
   }
 }
 
+/// Feeds `workload` in slices of `step` seconds, calling advance() at the
+/// end of each slice and `on_step(to, drained)` after it, then closes at
+/// `horizon`.  Returns every drained transition, stable-sorted by (time,
+/// process) like a single drain: a Suspect whose tick the wheel has not yet
+/// crossed comes out one step later than transitions stamped after it.
+template <class F>
+std::vector<Transition> run_interleaved(FleetMonitor& monitor,
+                                        const std::vector<Heartbeat>& workload,
+                                        double step, TimePoint horizon,
+                                        F&& on_step) {
+  const std::span<const Heartbeat> all(workload);
+  std::vector<Transition> stream;
+  std::size_t next = 0;
+  for (int k = 1; static_cast<double>(k) * step < horizon.seconds(); ++k) {
+    const double to = static_cast<double>(k) * step;
+    std::size_t end = next;
+    while (end < all.size() && all[end].arrival.seconds() <= to) ++end;
+    monitor.ingest(all.subspan(next, end - next));
+    next = end;
+    monitor.advance(TimePoint(to));
+    const std::vector<Transition> drained = monitor.drain_transitions();
+    on_step(to, drained);
+    stream.insert(stream.end(), drained.begin(), drained.end());
+  }
+  monitor.ingest(all.subspan(next));
+  monitor.close(horizon);
+  const std::vector<Transition> rest = monitor.drain_transitions();
+  stream.insert(stream.end(), rest.begin(), rest.end());
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Transition& a, const Transition& b) {
+                     if (a.at != b.at) return a.at < b.at;
+                     return a.process < b.process;
+                   });
+  return stream;
+}
+
 TEST(FleetDeterminism, WheelResolutionDoesNotChangeTheStream) {
+  // Resolution 0 is the default (eta / 128).  Each resolution runs once as
+  // one batch and once with interleaved advance() steps that divide
+  // neither eta nor the tick.
   const auto workload = generate_workload(small_workload());
   const TimePoint horizon = workload_horizon(small_workload(), params_w8());
   std::optional<std::vector<Transition>> reference;
-  for (const double res : {0.125, 0.05, 0.7}) {
+  for (const double res : {0.0, 0.125, 0.05, 0.7}) {
     FleetOptions fo = fleet_options(500, 4);
     fo.wheel_resolution = seconds(res);
-    FleetMonitor monitor(fo);
-    monitor.ingest(workload);
-    monitor.close(horizon);
-    auto stream = monitor.drain_transitions();
+    FleetMonitor batch(fo);
+    batch.ingest(workload);
+    batch.close(horizon);
+    auto stream = batch.drain_transitions();
     if (!reference) {
       reference = std::move(stream);
     } else {
       EXPECT_EQ(stream, *reference) << "resolution=" << res;
     }
+    FleetMonitor stepped(fo);
+    EXPECT_EQ(run_interleaved(stepped, workload, 0.37, horizon,
+                              [](double, const std::vector<Transition>&) {}),
+              *reference)
+        << "interleaved, resolution=" << res;
   }
+}
+
+TEST(FleetDeterminism, DefaultTickBoundsWhenAdvanceEmitsASuspect) {
+  // With the default tick eta / 128, a Suspect at tau comes out of the
+  // first advance(to) with to >= tau + eta / 128 (or earlier), and never
+  // out of one with to < tau.  eta = 1 makes the tick 2^-7, so the grid
+  // arithmetic is exact and the bound holds without slack.
+  const auto workload = generate_workload(small_workload());
+  const TimePoint horizon = workload_horizon(small_workload(), params_w8());
+  const double tick = params_w8().eta.seconds() / 128.0;
+  FleetMonitor monitor(fleet_options(500, 4));
+  double prev_to = 0.0;
+  std::size_t checked = 0;
+  run_interleaved(
+      monitor, workload, 0.003, horizon,
+      [&](double to, const std::vector<Transition>& drained) {
+        for (const Transition& t : drained) {
+          if (t.to != Verdict::kSuspect) continue;
+          ++checked;
+          EXPECT_LE(t.at.seconds(), to) << "process " << t.process;
+          EXPECT_LT(prev_to, t.at.seconds() + tick) << "process " << t.process;
+        }
+        prev_to = to;
+      });
+  EXPECT_GT(checked, 100u);
 }
 
 // ---- fault-plan integration --------------------------------------------

@@ -371,6 +371,48 @@ TEST(RealtimeEngine, WarmRestartLosesNoEmittedTransitions) {
   EXPECT_EQ(engine.risk_reason(), RiskReason::kWatchdogRestart);
 }
 
+TEST(RealtimeEngine, WarmRestartFiresFreshnessPointsAlreadyDue) {
+  // A freshness point at or before the restart instant must come out at
+  // exactly tau even when the dying monitor's wheel has not crossed its
+  // tick: otherwise the stream would depend on the wheel resolution.  With
+  // eta = 1 and alpha = 2, a heartbeat m_1 at 0.1 gives tau = EA_2 + alpha
+  // = 0.1 - 1 + 2 + 2 = 3.1.
+  const auto trusted_p0 = [](VirtualTimeSource& time, RealtimeEngine& engine) {
+    ASSERT_TRUE(engine.offer(fleet::Heartbeat{0, 0, 1, TimePoint(0.1)}));
+    time.advance(TimePoint(0.5));
+    engine.drain_shard(0, TimePoint(0.5));
+  };
+  const auto expect_suspect_at_tau = [](RealtimeEngine& engine) {
+    const std::vector<fleet::Transition> out = engine.drain_transitions();
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].to, Verdict::kTrust);
+    EXPECT_EQ(out[1].process, 0u);
+    EXPECT_EQ(out[1].to, Verdict::kSuspect);
+    EXPECT_DOUBLE_EQ(out[1].at.seconds(), 3.1);
+  };
+
+  {
+    // tau inside the current tick: the default tick is eta / 128, and an
+    // advance to 3.101 < 397 / 128 stops one tick short of tau's 397.
+    VirtualTimeSource time;
+    RealtimeEngine engine(small_engine(OverloadPolicy::kDropNewest), time);
+    trusted_p0(time, engine);
+    time.advance(TimePoint(3.101));
+    engine.advance(TimePoint(3.101));
+    engine.warm_restart_shard(0, TimePoint(3.101));
+    expect_suspect_at_tau(engine);
+  }
+  {
+    // Consumer stall: nothing advanced the wheel since the drain at 0.5.
+    VirtualTimeSource time;
+    RealtimeEngine engine(small_engine(OverloadPolicy::kDropNewest), time);
+    trusted_p0(time, engine);
+    time.advance(TimePoint(5.0));
+    engine.warm_restart_shard(0, TimePoint(5.0));
+    expect_suspect_at_tau(engine);
+  }
+}
+
 TEST(RealtimeEngine, ShardOfPartitionsBalancedAndCountersSumAcrossShards) {
   RealtimeOptions opts;
   opts.processes = 10;
@@ -411,8 +453,8 @@ TEST(RealtimeEngine, ShardOfPartitionsBalancedAndCountersSumAcrossShards) {
 // ---------------------------------------------------------------------------
 
 TEST(RealtimeEngine, RebasesWallEpochTimesAndMapsTransitionsBack) {
-  // A time source that starts at a wall-like epoch: without the rebase the
-  // first advance would try ~1e11 wheel ticks and effectively hang.
+  // A time source that starts at a wall-like epoch: the monitors must see
+  // engine-local time, and transitions must come back in source time.
   constexpr double kEpoch = 1.7e9;
   VirtualTimeSource time{TimePoint(kEpoch)};
   RealtimeOptions opts = small_engine(OverloadPolicy::kDropNewest);
